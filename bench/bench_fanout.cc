@@ -1,7 +1,7 @@
 // Fan-out scaling measurement: tuple streaming throughput as the number of
 // display scopes grows.  The paper's server "displays these BUFFER signals
 // to one or more scopes"; this bench quantifies what each additional scope
-// costs the ingest path.  With the sharded signal-routed bus the per-tuple
+// costs the ingest path.  With the signal-routed bus the per-tuple
 // work is parse + one shared-block append, and each scope costs one O(1)
 // span hand-off per chunk - so tuples/cpu-sec should stay near-flat from 1
 // to 64 scopes instead of degrading ~linearly.

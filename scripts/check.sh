@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus Release-mode bench smokes, an ASan+UBSan pass over the
 # net/control tests with a control-channel smoke (subscribe, push, assert
-# echoed tuples), and a TSan pass over the sharded fan-out, so the ingest
-# fast paths and the new bidirectional control path cannot silently rot.
+# echoed tuples), and a TSan pass over cross-thread span hand-off, so the
+# ingest fast paths and the bidirectional control path cannot silently rot.
 # Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 
@@ -102,21 +102,23 @@ echo "--- control-channel smoke (ASan+UBSan): subscribe, push, assert echo ---"
 # disjoint delayed echo streams with zero parse errors.
 "$asan_dir/example_remote_control"
 
-echo "--- TSan: sharded fan-out race check ---"
+echo "--- TSan: cross-thread span hand-off (router flush vs scope ticks) ---"
 tsan_dir="$repo_root/build-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   > /dev/null
-# Only the new sharded fan-out tests run under TSan: test_threading's own
-# harness reads scope state cross-thread by design (the paper's sampled-
-# variable model) and is expected to trip the sanitizer.
+# A concurrent router appends and flushes on one thread while another ticks
+# the scopes (the loops > 1 shape), plus a direct-push producer thread.
+# test_threading is not run here: its own harness reads scope state
+# cross-thread by design (the paper's sampled-variable model) and is
+# expected to trip the sanitizer.
 cmake --build "$tsan_dir" -j --target test_ingest_router test_ingest_fast_path \
   test_drain_coalescing test_stress_multiproducer test_reliability \
   test_loop_sharding test_tenant_isolation test_control_channel
 "$tsan_dir/test_ingest_router"
 "$tsan_dir/test_ingest_fast_path"
 
-echo "--- TSan: coalesced drain under concurrent producers ---"
+echo "--- TSan: cross-thread span hand-off into coalesced and history drains ---"
 "$tsan_dir/test_drain_coalescing"
 
 echo "--- TSan: multi-producer backpressure stress (thread-mode policies) ---"

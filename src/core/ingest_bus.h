@@ -1,4 +1,4 @@
-// Sharded, signal-routed ingest bus: the server -> scope fan-out boundary.
+// Signal-routed ingest bus: the server -> scope fan-out boundary.
 //
 // The gscope paper displays streamed BUFFER signals "to one or more scopes";
 // the naive fan-out costs O(batch x scopes) because every display target gets
@@ -183,10 +183,10 @@ struct IngestSpan {
   size_t size() const { return end - begin; }
 };
 
-// Per-scope queue of pending spans.  Push is thread-safe (the router's
-// fan-out workers call it); Collect runs on the scope's loop thread at drain
-// time.  Steady-state push/collect cycles are allocation-free once the two
-// internal vectors have warmed up.
+// Per-scope queue of pending spans.  Push is thread-safe (a router shared
+// between loops pushes from any of them); Collect runs on the scope's loop
+// thread at drain time.  Steady-state push/collect cycles are
+// allocation-free once the two internal vectors have warmed up.
 class IngestSpanQueue {
  public:
   struct Stats {

@@ -565,8 +565,8 @@ void Scope::DrainIngestSpans(int64_t now_ms) {
   for (const IngestSpan& span : span_scratch_) {
     const IngestBlock& block = *span.block;
     const bool whole = block.max_time_ms + delay <= now_ms;
-    if (whole && options_.coalesce_display_only && span.begin == 0 &&
-        span.end == block.samples.size() && !block.live.empty()) {
+    if (whole && span.begin == 0 && span.end == block.samples.size() &&
+        !block.live.empty()) {
       // Whole-block span, fully displayable: fold display-only routes to
       // one hold write each via the block's last-wins summary (handles
       // reordered stamps too — the summary tracks the (time, arrival)-max
@@ -575,8 +575,9 @@ void Scope::DrainIngestSpans(int64_t now_ms) {
       continue;
     }
     if (block.time_ordered && whole) {
-      // Whole span displayable, stamps in order, coalescing off or a
-      // partial-block span: route straight out of the shared block.
+      // Whole span displayable, stamps in order, but no whole-block summary
+      // to fold (a partial-block span): route straight out of the shared
+      // block.
       for (uint32_t i = span.begin; i < span.end; ++i) {
         RouteSpanSample(span, block.samples[i]);
       }
@@ -782,10 +783,7 @@ bool Scope::SamplePlayback(int64_t lost) {
 }
 
 void Scope::RouteBuffered(const std::vector<Sample>& samples) {
-  const bool coalesce = options_.coalesce_display_only;
-  if (coalesce) {
-    ring_lastwins_.Begin();
-  }
+  ring_lastwins_.Begin();
   for (const Sample& sample : samples) {
     SignalState* s = nullptr;
     if (sample.key == kUnnamedSampleKey) {
@@ -815,7 +813,7 @@ void Scope::RouteBuffered(const std::vector<Sample>& samples) {
       counters_.buffered_unmatched += 1;
       continue;
     }
-    if (coalesce && s->sinks.empty() && !TapNeedsHistory()) {
+    if (s->sinks.empty() && !TapNeedsHistory()) {
       // Display-only: defer to the last-wins fold.  Samples arrive sorted
       // by (time, push order), so the fold's winner is the sample the old
       // per-sample walk would have left in the hold.
@@ -834,9 +832,6 @@ void Scope::RouteBuffered(const std::vector<Sample>& samples) {
     if (buffered_tap_) {
       buffered_tap_(s->spec.name, sample.time_ms, sample.value);
     }
-  }
-  if (!coalesce) {
-    return;
   }
   for (const LastWinsTable::Entry& entry : ring_lastwins_.entries()) {
     SignalState& s = signals_[entry.index];

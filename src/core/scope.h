@@ -79,12 +79,6 @@ struct ScopeOptions {
   bool auto_create_playback_signals = true;
   // Capacity of the scope-wide buffer for BUFFER signals.
   size_t buffer_capacity = 1 << 16;
-  // Last-wins drain coalescing (core/sample_hold.h): display-only BUFFER
-  // signals — no every-sample consumer attached — keep only the newest
-  // sample per drain tick, so a whole-span drain costs O(live signals)
-  // instead of O(batch).  Off = the pre-coalescing per-sample drain, kept as
-  // a kill switch and as the benchmark baseline (bench/bench_drain.cc).
-  bool coalesce_display_only = true;
 };
 
 // How a buffered tap (SetBufferedTap) interacts with drain coalescing.
@@ -95,9 +89,9 @@ enum class TapMode : uint8_t {
   // The tap only wants what the display shows: for display-only signals it
   // fires once per signal per drained span with that span's last-wins
   // winner, and coalescing stays effective.  Signals that independently
-  // need history (a sample sink attached, or coalescing disabled) still
-  // deliver per sample to the tap — the tap never suppresses data a
-  // co-attached consumer forced onto the history path.
+  // need history (a sample sink attached) still deliver per sample to the
+  // tap — the tap never suppresses data a co-attached consumer forced onto
+  // the history path.
   kCoalesced,
 };
 
@@ -218,13 +212,10 @@ class Scope {
   // route keys to its own signals at drain time.  A span whose newest sample
   // already missed the display deadline is dropped whole; a span straddling
   // the deadline degrades to per-sample pushes through the regular buffer.
-  // Returns the number of samples not rejected as late.  Thread-safe (the
-  // router's fan-out workers call this).  `now_ms` is the scope time the
-  // late-drop verdict is judged against; the router captures it on the loop
-  // thread at flush so worker scheduling latency cannot turn an on-time
-  // batch late.
+  // Returns the number of samples not rejected as late.  Thread-safe (a
+  // router shared between loops flushes from any of them).  `now_ms` is the
+  // scope time the late-drop verdict is judged against.
   size_t PushIngestSpan(const IngestSpan& span, int64_t now_ms);
-  size_t PushIngestSpan(const IngestSpan& span) { return PushIngestSpan(span, NowMs()); }
   IngestSpanQueue::Stats ingest_span_stats() const { return ingest_spans_.stats(); }
   size_t pending_ingest_samples() const { return ingest_spans_.queued_samples(); }
 

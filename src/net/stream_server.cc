@@ -76,9 +76,7 @@ struct StreamServer::FrameHandler {
 StreamServer::StreamServer(MainLoop* loop, Scope* scope, StreamServerOptions options)
     : loop_(loop),
       options_(options),
-      router_({.auto_create_signals = options.auto_create_signals,
-               .fanout_shards = options.fanout_shards,
-               .worker_threads = options.fanout_workers}),
+      router_({.auto_create_signals = options.auto_create_signals}),
       pool_(loop, options.loops) {
   if (options_.control_poll_period_ms <= 0) {
     options_.control_poll_period_ms = 10;
@@ -522,7 +520,7 @@ void StreamServer::HandleControlLine(LoopShard& shard, int client_key, Client& c
     // Handled before the whitelist's argument-shape validation and WITHOUT
     // creating a session: a producer upgrading its upload format must not
     // cost a scope, a poll timer, and a router slot.
-    HandleHello(client, rest);
+    HandleHello(shard, client_key, client, rest);
     return;
   }
   if (verb == "AUTH") {
@@ -1066,7 +1064,8 @@ void StreamServer::FoldRecorderLocked() {
   record_retired_.capture_bytes += r.capture_bytes.load();
 }
 
-void StreamServer::HandleHello(Client& client, std::string_view rest) {
+void StreamServer::HandleHello(LoopShard& shard, int client_key, Client& client,
+                               std::string_view rest) {
   stats_.control_commands += 1;
   std::string_view proto = NextToken(rest);
   std::string_view version = NextToken(rest);
@@ -1086,6 +1085,13 @@ void StreamServer::HandleHello(Client& client, std::string_view rest) {
   client.wire = WireMode::kBinaryPending;
   client.decoder = std::make_unique<wire::FrameDecoder>();
   client.binary_egress = true;
+  if (client.session != nullptr) {
+    // A session opened before the upgrade (a SUB queued ahead of the HELLO)
+    // still holds a text echo tap: swap in the framed one, same mode.  Tap
+    // swap under the route lock: rebuilds read the tap's history need.
+    std::unique_lock<std::mutex> routes = router_.LockRoutes();
+    InstallEchoTap(shard, client_key, client, client.session->tap_mode);
+  }
 }
 
 void StreamServer::HandleAuth(Client& client, std::string_view rest) {

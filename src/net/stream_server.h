@@ -10,10 +10,9 @@
 //
 // I/O driven: a listen watch accepts clients, per-client watches parse
 // newline-delimited lines and push tuples into the display scopes' sample
-// buffers (which apply the delay/late-drop policy).  With the default
-// fanout_workers = -1 the router may spawn up to fanout_shards-1 persistent
-// fan-out worker threads on a multi-core host (none on a single core) — set
-// fanout_workers = 0 for a strictly single-threaded server.
+// buffers (which apply the delay/late-drop policy).  The router hands each
+// scope its span inline on the loop that read the batch: loops = 1 is a
+// strictly single-threaded server.
 //
 // Sharded accept (options.loops > 1): accepted connections spread across N
 // per-core event loops (runtime/loop_pool.h).  Each loop owns its clients
@@ -26,10 +25,10 @@
 // connection to the least-loaded loop.  Shared state crosses loops at
 // exactly two points, both serialized inside the router when loops > 1:
 // the IngestRouter's route tables (epoch-snapshot rebuilds under its lock)
-// and the scopes' span queues (already thread-safe for the fan-out
-// workers).  Server-wide Stats are relaxed per-field atomics
-// (runtime/relaxed_counter.h).  loops = 1 (the default) takes none of the
-// locks and spawns no threads: byte-identical to the pre-sharding server.
+// and the scopes' span queues (thread-safe pushes from any loop).
+// Server-wide Stats are relaxed per-field atomics (runtime/relaxed_counter.h).
+// loops = 1 (the default) takes none of the locks and spawns no threads:
+// byte-identical to the pre-sharding server.
 //
 // Control channel: a client line starting with a letter is a control verb
 // (AUTH / SUB / UNSUB / DELAY / LIST / STATS / PING / TIME).  The first
@@ -106,10 +105,6 @@ struct StreamServerOptions {
   // framing resynchronizes at the next newline.  A line of exactly this many
   // bytes (newline excluded) parses, however it is split across reads.
   size_t max_line_bytes = 4096;
-  // Fan-out sharding (see IngestRouterOptions): shards per flush and worker
-  // threads (-1 = auto: 0 on a single-core host).
-  size_t fanout_shards = 4;
-  int fanout_workers = -1;
   // Accept sharding: per-core event loops owning the accepted connections
   // (header comment).  1 = the single-loop pre-sharding server; values are
   // clamped to >= 1.
@@ -475,7 +470,7 @@ class StreamServer {
   void HandleControlLine(LoopShard& shard, int client_key, Client& client,
                          std::string_view line);
   // HELLO negotiation (before the verb whitelist: no session is created).
-  void HandleHello(Client& client, std::string_view rest);
+  void HandleHello(LoopShard& shard, int client_key, Client& client, std::string_view rest);
   // AUTH <token>: tenant namespace entry (before the whitelist, like HELLO:
   // authenticating must not cost a scope).
   void HandleAuth(Client& client, std::string_view rest);

@@ -27,9 +27,9 @@ class DrainCoalescingTest : public ::testing::Test {
  protected:
   DrainCoalescingTest() : loop_(&clock_) {}
 
-  Scope* MakeScope(const std::string& name, bool coalesce = true) {
-    scopes_.push_back(std::make_unique<Scope>(
-        &loop_, ScopeOptions{.name = name, .width = 64, .coalesce_display_only = coalesce}));
+  Scope* MakeScope(const std::string& name) {
+    scopes_.push_back(
+        std::make_unique<Scope>(&loop_, ScopeOptions{.name = name, .width = 64}));
     Scope* scope = scopes_.back().get();
     scope->SetPollingMode(10);
     scope->StartPolling();
@@ -57,7 +57,7 @@ class DrainCoalescingTest : public ::testing::Test {
 };
 
 TEST_F(DrainCoalescingTest, DisplayOnlySignalCoalescesToLastValuePerTick) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("disp");
   ASSERT_TRUE(router.AddScope(scope));
 
@@ -81,7 +81,7 @@ TEST_F(DrainCoalescingTest, DisplayOnlySignalCoalescesToLastValuePerTick) {
 }
 
 TEST_F(DrainCoalescingTest, CoalescingPicksNewestStampInUnorderedSpan) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("unordered");
   ASSERT_TRUE(router.AddScope(scope));
 
@@ -103,7 +103,7 @@ TEST_F(DrainCoalescingTest, CoalescingPicksNewestStampInUnorderedSpan) {
 }
 
 TEST_F(DrainCoalescingTest, TriggerAttachedObservesEverySample) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("trig");
   ASSERT_TRUE(router.AddScope(scope));
   SignalId id = scope->FindOrAddBufferSignal("wave");
@@ -130,7 +130,7 @@ TEST_F(DrainCoalescingTest, TriggerAttachedObservesEverySample) {
 }
 
 TEST_F(DrainCoalescingTest, AggregateTraceEnvelopeExportLoseNoSamples) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("sinks");
   ASSERT_TRUE(router.AddScope(scope));
   SignalId id = scope->FindOrAddBufferSignal("metric");
@@ -185,7 +185,7 @@ TEST_F(DrainCoalescingTest, AggregateTraceEnvelopeExportLoseNoSamples) {
 }
 
 TEST_F(DrainCoalescingTest, MixedSpanCoalescesOnlyDisplayOnlyRoutes) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("mixed");
   ASSERT_TRUE(router.AddScope(scope));
   SignalId hist = scope->FindOrAddBufferSignal("hist");
@@ -216,7 +216,7 @@ TEST_F(DrainCoalescingTest, MixedSpanCoalescesOnlyDisplayOnlyRoutes) {
 }
 
 TEST_F(DrainCoalescingTest, HistorySinkObservesUnorderedSpanInTimeOrder) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("sorted");
   ASSERT_TRUE(router.AddScope(scope));
   SignalId id = scope->FindOrAddBufferSignal("sig");
@@ -241,7 +241,7 @@ TEST_F(DrainCoalescingTest, HistorySinkObservesUnorderedSpanInTimeOrder) {
 }
 
 TEST_F(DrainCoalescingTest, AttachDetachFlipsModeAtNextRouteEpoch) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("flip");
   ASSERT_TRUE(router.AddScope(scope));
 
@@ -270,7 +270,7 @@ TEST_F(DrainCoalescingTest, AttachDetachFlipsModeAtNextRouteEpoch) {
 }
 
 TEST_F(DrainCoalescingTest, EverySampleTapKeepsWholeScopeOnHistoryPath) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("tap");
   ASSERT_TRUE(router.AddScope(scope));
   int tap_calls = 0;
@@ -284,7 +284,7 @@ TEST_F(DrainCoalescingTest, EverySampleTapKeepsWholeScopeOnHistoryPath) {
 }
 
 TEST_F(DrainCoalescingTest, CoalescedTapFiresOncePerSignalPerTick) {
-  IngestRouter router({.worker_threads = 0});
+  IngestRouter router;
   Scope* scope = MakeScope("ctap");
   ASSERT_TRUE(router.AddScope(scope));
   std::vector<std::pair<std::string, double>> taps;
@@ -297,18 +297,6 @@ TEST_F(DrainCoalescingTest, CoalescedTapFiresOncePerSignalPerTick) {
   EXPECT_EQ(taps[0].first, "sig");
   EXPECT_DOUBLE_EQ(taps[0].second, 49.0);
   EXPECT_EQ(scope->counters().samples_coalesced, 49);
-}
-
-TEST_F(DrainCoalescingTest, KillSwitchRestoresPerSampleDrain) {
-  IngestRouter router({.worker_threads = 0});
-  Scope* scope = MakeScope("off", /*coalesce=*/false);
-  ASSERT_TRUE(router.AddScope(scope));
-
-  Round(router, "sig", 30);
-  EXPECT_EQ(scope->counters().samples_coalesced, 0);
-  EXPECT_EQ(scope->counters().samples_retained, 30);
-  EXPECT_EQ(scope->counters().buffered_routed, 30);
-  EXPECT_DOUBLE_EQ(scope->LatestValue(scope->FindSignal("sig")).value_or(-1), 29.0);
 }
 
 TEST_F(DrainCoalescingTest, RingPathCoalescesDirectPushes) {
@@ -355,14 +343,18 @@ TEST_F(DrainCoalescingTest, RemovingSignalDropsItsSinks) {
   EXPECT_GT(scope->consumers_epoch(), epoch);
 }
 
-TEST_F(DrainCoalescingTest, ConcurrentFanoutCoalescedAndHistoryScopes) {
-  // TSan target (scripts/check.sh): sharded fan-out workers hand spans to a
-  // mix of display-only and history scopes while a producer thread uses the
-  // direct push path; drains run on the loop thread.
-  IngestRouter router({.fanout_shards = 4, .worker_threads = 2});
+TEST_F(DrainCoalescingTest, CrossThreadFlushCoalescedAndHistoryScopes) {
+  // TSan target (scripts/check.sh): a concurrent router on a second thread
+  // hands spans to a mix of display-only and history scopes while a producer
+  // thread uses the direct push path; drains run on this thread.  The clock
+  // passes between the two in lockstep (flush batch b, then advance), so
+  // every tick drains exactly one whole span while the next one is flushed.
+  IngestRouter router;
+  router.SetConcurrent(true);
   std::vector<Scope*> targets;
   for (int i = 0; i < 4; ++i) {
     targets.push_back(MakeScope("t" + std::to_string(i)));
+    targets.back()->SetConcurrent(true);
     ASSERT_TRUE(router.AddScope(targets.back()));
   }
   // Scope 0 takes the history path for "sig"; the rest coalesce.
@@ -386,17 +378,32 @@ TEST_F(DrainCoalescingTest, ConcurrentFanoutCoalescedAndHistoryScopes) {
 
   constexpr int kBatches = 50;
   constexpr int kPerBatch = 64;
-  for (int batch = 0; batch < kBatches; ++batch) {
-    int64_t now = targets[0]->NowMs();
-    for (int i = 0; i < kPerBatch; ++i) {
-      router.Append("sig", now + 1, static_cast<double>(i));
+  std::atomic<int> flushed{-1};
+  std::atomic<int> advanced{-1};
+  std::thread flusher([&]() {
+    for (int batch = 0; batch < kBatches; ++batch) {
+      while (advanced.load() < batch - 1) {
+        std::this_thread::yield();
+      }
+      int64_t now = targets[0]->NowMs();
+      for (int i = 0; i < kPerBatch; ++i) {
+        router.Append("sig", now + 1, static_cast<double>(i));
+      }
+      router.Flush();
+      flushed.store(batch);
     }
-    router.Flush();
+  });
+  for (int batch = 0; batch < kBatches; ++batch) {
+    while (flushed.load() < batch) {
+      std::this_thread::yield();
+    }
     clock_.AdvanceMs(5);
+    advanced.store(batch);
     for (Scope* s : targets) {
       s->TickOnce();
     }
   }
+  flusher.join();
   stop.store(true);
   producer.join();
   clock_.AdvanceMs(5);

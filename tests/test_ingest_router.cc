@@ -1,14 +1,12 @@
-// The sharded, signal-routed ingest bus: route-table resolution and epoch
+// The signal-routed ingest bus: route-table resolution and epoch
 // invalidation, O(1) span fan-out, dynamic scope/signal topology under load,
-// late/overflow policy on the span path, and the FanoutPool.
+// late/overflow policy on the span path, and cross-thread span hand-off.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include "core/fanout_pool.h"
 #include "core/ingest_bus.h"
 #include "core/ingest_router.h"
 #include "core/scope.h"
@@ -314,22 +312,27 @@ TEST_F(IngestRouterTest, EmptyFlushIsANoOpAndBatchesAreIndependent) {
   EXPECT_DOUBLE_EQ(a->LatestValue(a->FindSignal("sig")).value_or(-1), 9.0);
 }
 
-// ---- sharded fan-out under worker threads (the TSan target) ----------------
+// ---- cross-thread span hand-off (the TSan target) ---------------------------
 
-TEST_F(IngestRouterTest, ShardedFanoutWithWorkersDeliversEverySample) {
-  IngestRouter router({.fanout_shards = 4, .worker_threads = 3});
-  ASSERT_EQ(router.fanout_worker_count(), 3u);
+// The loops > 1 shape: a concurrent router appends and flushes on a second
+// thread while this thread ticks the scopes.  The two threads hand the clock
+// across in lockstep (flush batch b, then advance), so no batch can turn
+// late, but each tick overlaps the next batch's append and flush.
+TEST_F(IngestRouterTest, CrossThreadFlushDeliversEverySample) {
+  IngestRouter router;
+  router.SetConcurrent(true);
   constexpr int kScopes = 8;
   constexpr int kBatches = 50;
   constexpr int kPerBatch = 64;
   std::vector<Scope*> targets;
   for (int i = 0; i < kScopes; ++i) {
     Scope* s = MakeScope("s" + std::to_string(i));
+    s->SetConcurrent(true);
     targets.push_back(s);
     ASSERT_TRUE(router.AddScope(s));
   }
   // A concurrent producer thread exercises the thread-safe direct push path
-  // against the same scopes while the fan-out workers hand off spans.
+  // against the same scopes while spans arrive from the flushing thread.
   std::atomic<bool> stop{false};
   Scope* contended = targets[0];
   SignalId direct = contended->AddSignal({.name = "direct", .source = BufferSource{}});
@@ -340,19 +343,36 @@ TEST_F(IngestRouterTest, ShardedFanoutWithWorkersDeliversEverySample) {
     }
   });
 
-  for (int batch = 0; batch < kBatches; ++batch) {
-    int64_t now = targets[0]->NowMs();
-    for (int i = 0; i < kPerBatch; ++i) {
-      router.Append("sig", now + 1, static_cast<double>(i));
+  std::atomic<int> flushed{-1};
+  std::atomic<int> advanced{-1};
+  int64_t dropped_late = 0;
+  std::thread flusher([&]() {
+    for (int batch = 0; batch < kBatches; ++batch) {
+      while (advanced.load() < batch - 1) {
+        std::this_thread::yield();
+      }
+      int64_t now = targets[0]->NowMs();
+      for (int i = 0; i < kPerBatch; ++i) {
+        router.Append("sig", now + 1, static_cast<double>(i));
+      }
+      dropped_late += router.Flush().dropped_late;
+      flushed.store(batch);
     }
-    EXPECT_EQ(router.Flush().dropped_late, 0);
+  });
+  for (int batch = 0; batch < kBatches; ++batch) {
+    while (flushed.load() < batch) {
+      std::this_thread::yield();
+    }
     clock_.AdvanceMs(5);
+    advanced.store(batch);
     for (Scope* s : targets) {
       s->TickOnce();
     }
   }
+  flusher.join();
   stop.store(true);
   producer.join();
+  EXPECT_EQ(dropped_late, 0);
   clock_.AdvanceMs(5);
   for (Scope* s : targets) {
     s->TickOnce();
@@ -364,7 +384,7 @@ TEST_F(IngestRouterTest, ShardedFanoutWithWorkersDeliversEverySample) {
 }
 
 TEST_F(IngestRouterTest, TopologyChangesUnderShardedLoad) {
-  IngestRouter router({.fanout_shards = 4, .worker_threads = 2});
+  IngestRouter router;
   std::vector<Scope*> targets;
   for (int i = 0; i < 6; ++i) {
     targets.push_back(MakeScope("t" + std::to_string(i)));
@@ -396,47 +416,6 @@ TEST_F(IngestRouterTest, TopologyChangesUnderShardedLoad) {
     EXPECT_DOUBLE_EQ(s->LatestValue(s->FindSignal("a")).value_or(-1), 1.0);
     EXPECT_DOUBLE_EQ(s->LatestValue(s->FindSignal("b")).value_or(-1), 2.0);
   }
-}
-
-// ---- FanoutPool ------------------------------------------------------------
-
-TEST(FanoutPoolTest, InlineWhenNoWorkers) {
-  FanoutPool pool(0);
-  EXPECT_EQ(pool.worker_count(), 0u);
-  std::vector<int> hits(16, 0);
-  pool.Run(16, [&](size_t i) { hits[i] += 1; });
-  for (int h : hits) {
-    EXPECT_EQ(h, 1);
-  }
-}
-
-TEST(FanoutPoolTest, RunsEveryTaskExactlyOnceAcrossGenerations) {
-  FanoutPool pool(3);
-  for (int round = 0; round < 200; ++round) {
-    std::vector<std::atomic<int>> hits(33);
-    pool.Run(hits.size(), [&](size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
-    for (auto& h : hits) {
-      ASSERT_EQ(h.load(), 1);
-    }
-  }
-}
-
-TEST(FanoutPoolTest, TasksRunConcurrentlyWithCaller) {
-  FanoutPool pool(2);
-  std::set<std::thread::id> seen;
-  std::mutex mu;
-  // Tasks sleep so the claiming thread yields the (possibly single) CPU and
-  // the workers get a chance to grab a share.
-  for (int round = 0; round < 50 && seen.size() < 2; ++round) {
-    pool.Run(8, [&](size_t) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        seen.insert(std::this_thread::get_id());
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    });
-  }
-  EXPECT_GE(seen.size(), 2u);
 }
 
 }  // namespace

@@ -647,6 +647,40 @@ TEST_F(ReliabilityTest, TimeSyncComposesWithBinaryWire) {
   EXPECT_EQ(server.stats().parse_errors, 0);
 }
 
+TEST_F(ReliabilityTest, BinaryViewerSubscribedBeforeHelloGetsFramedEcho) {
+  // Verbs issued right after Connect() queue ahead of the HELLO, so the
+  // server opens the session on a text connection and upgrades it a line
+  // later.  After OK HELLO BIN 1 both directions are framed
+  // (docs/protocol.md): the session's echo must follow the upgrade, not keep
+  // writing text tuple lines into the framed stream.
+  StreamServer server(&loop_, &scope_);
+  ASSERT_TRUE(server.Listen(0));
+  scope_.StartPolling();
+
+  ControlClientOptions vopt;
+  vopt.wire_format = WireFormat::kBinary;
+  ControlClient viewer(&loop_, vopt);
+  int64_t tuples_seen = 0;
+  viewer.SetTupleCallback([&](const TupleView&) { ++tuples_seen; });
+  ASSERT_TRUE(viewer.Connect(server.port()));
+  ASSERT_TRUE(viewer.SetDelay(50));
+  ASSERT_TRUE(viewer.Subscribe("early_*"));
+  ASSERT_TRUE(RunUntil([&]() { return viewer.wire_binary() && viewer.stats().replies_ok >= 3; }));
+
+  StreamClient::Options popt;
+  popt.wire_format = WireFormat::kBinary;
+  StreamClient producer(&loop_, popt);
+  ASSERT_TRUE(producer.Connect(server.port()));
+  ASSERT_TRUE(RunUntil([&]() { return producer.wire_binary(); }));
+  ASSERT_TRUE(RunUntil([&]() {
+    producer.Send(static_cast<int64_t>(scope_.NowMs()), 1.5, "early_sig");
+    loop_.RunForMs(2);
+    return tuples_seen >= 8;
+  }));
+  EXPECT_EQ(viewer.stats().parse_errors, 0);
+  EXPECT_GT(server.stats().tuples_echoed, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Graceful degradation: adaptive overflow policy (SimClock-deterministic)
 // ---------------------------------------------------------------------------
