@@ -10,7 +10,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 
 cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j "$(nproc)"
 # Labeled split: the fast tests run fully parallel without a RUN_SERIAL
 # stress rig serializing the schedule around itself; the stress label runs
 # on its own right after (same coverage as one flat `ctest -j`).
@@ -68,7 +68,7 @@ cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
   > /dev/null
-cmake --build "$asan_dir" -j --target \
+cmake --build "$asan_dir" -j "$(nproc)" --target \
   test_socket test_stream test_datagram_server test_control_channel \
   test_signal_filter test_framing_fuzz test_reliability test_record \
   example_remote_control
@@ -112,7 +112,7 @@ cmake -B "$tsan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # test_threading is not run here: its own harness reads scope state
 # cross-thread by design (the paper's sampled-variable model) and is
 # expected to trip the sanitizer.
-cmake --build "$tsan_dir" -j --target test_ingest_router test_ingest_fast_path \
+cmake --build "$tsan_dir" -j "$(nproc)" --target test_ingest_router test_ingest_fast_path \
   test_drain_coalescing test_stress_multiproducer test_reliability \
   test_loop_sharding test_tenant_isolation test_control_channel
 "$tsan_dir/test_ingest_router"

@@ -114,13 +114,14 @@ void ControlClient::Close() {
     loop_->Remove(liveness_timer_);
     liveness_timer_ = 0;
   }
-  size_t discarded = writer_.Reset();
   if (state_ == ConnectState::kConnecting) {
     // Frames queued behind an unresolved handshake resolve to dropped (they
-    // never counted as pushed/sent); back the Reset()-side abandonment out
-    // so the delivered identity keeps holding.
-    stats_.frames_dropped += static_cast<int64_t>(discarded);
-    preconnect_discards_ += static_cast<int64_t>(discarded);
+    // never counted as sent), so the delivered identity keeps holding.
+    auto [frames, tuples] = DiscardPreconnect();
+    stats_.frames_dropped += frames;
+    upload_.dropped += tuples;
+  } else {
+    writer_.Reset();
   }
   DropStagedWire();
   framer_.Reset();
@@ -130,6 +131,7 @@ void ControlClient::Close() {
   socket_.Close();
   SetState(ConnectState::kDisconnected);
   preconnect_frames_ = 0;
+  upload_.preconnect = 0;
   time_req_sent_ms_ = -1;
 }
 
@@ -174,11 +176,12 @@ bool ControlClient::OnConnectReady() {
   if (error != 0) {
     // Frames queued behind the handshake never left the process: they
     // resolve to dropped, so commands_sent/tuples_pushed vs frames_dropped
-    // reconcile for the caller; the Reset()-side abandonment is backed out
-    // of the stats mapping to avoid double-booking the loss.
+    // reconcile for the caller.
     stats_.frames_dropped += preconnect_frames_;
+    upload_.dropped += upload_.preconnect;
     preconnect_frames_ = 0;
-    preconnect_discards_ += static_cast<int64_t>(writer_.Reset());
+    upload_.preconnect = 0;
+    DiscardPreconnect();
     socket_.Close();
     FailAttempt(error);
     if (on_connect_) {
@@ -194,6 +197,8 @@ bool ControlClient::OnConnectReady() {
     stats_.reconnects += 1;
   }
   preconnect_frames_ = 0;
+  upload_.sent += upload_.preconnect;
+  upload_.preconnect = 0;
   last_rx_ns_ = loop_->clock()->NowNs();
   last_tx_ns_ = last_rx_ns_;
   writer_.Attach(socket_.fd());  // flushes commands queued pre-connect
@@ -202,8 +207,10 @@ bool ControlClient::OnConnectReady() {
   if (options_.wire_format == WireFormat::kBinary) {
     // Renegotiate on EVERY establishment, ahead of the session replay (the
     // SUBs that follow still travel as text; the server parses text until
-    // our first binary frame).  Counted in commands_sent like any verb, but
-    // never in resumed_commands - it is negotiation, not session state.
+    // our first binary frame).  The line travels behind anything queued
+    // pre-connect, and pushes stay text until the acknowledgment arrives.
+    // Counted in commands_sent like any verb, but never in
+    // resumed_commands - it is negotiation, not session state.
     wire_ = WireState::kHelloSent;
     decoder_.Reset();
     rx_names_.clear();
@@ -497,7 +504,9 @@ bool ControlClient::SendCommand(std::string_view verb, std::string_view arg) {
     }
     buf.push_back('\n');
   }
-  if (!writer_.CommitFrame()) {
+  // Weight 0: a verb carries no tuples, so evicting or abandoning it never
+  // perturbs the upload ledger.
+  if (!writer_.CommitFrame(0)) {
     stats_.frames_dropped += 1;
     return false;
   }
@@ -505,7 +514,7 @@ bool ControlClient::SendCommand(std::string_view verb, std::string_view arg) {
     preconnect_frames_ += 1;
   }
   stats_.commands_sent += 1;
-  last_tx_ns_ = loop_->clock()->NowNs();
+  NoteTx();
   return true;
 }
 
@@ -651,39 +660,44 @@ void ControlClient::ForgetSession() {
 
 bool ControlClient::Send(int64_t time_ms, double value, std::string_view name) {
   if (state_ != ConnectState::kConnected && state_ != ConnectState::kConnecting) {
-    stats_.frames_dropped += 1;
+    // Includes kBackoff: data produced while the link is down is disposable
+    // (the paper's stance); it is counted dropped rather than queued
+    // unboundedly against a server that may never come back.
+    CountDropped(1);
     return false;
   }
   if (wire_ == WireState::kBinary) {
-    // Stage into the open sample frame; commit/accounting happens at the
-    // flush (inline at a frame's worth, else deferred one loop iteration).
+    // kBinary implies kConnected: the flip happens only after the server's
+    // acknowledgment arrives on an established connection.  Stage into the
+    // open sample frame; commit/accounting happens at the flush (inline at
+    // a frame's worth, else deferred one loop iteration).
     wire::StageResult r = encoder_.Add(name, time_ms, value);
     if (r == wire::StageResult::kFrameFull) {
       FlushWire();
       r = encoder_.Add(name, time_ms, value);
     }
     if (r != wire::StageResult::kStaged) {
-      stats_.frames_dropped += 1;
+      CountDropped(1);
       return false;
     }
     if (encoder_.staged_samples() >= options_.frame_samples) {
+      // The sample is staged either way; a full backlog surfaces in the
+      // drop counters, not here.
       FlushWire();
     } else {
       ScheduleWireFlush();
     }
-    last_tx_ns_ = loop_->clock()->NowNs();
     return true;
   }
+  // Format in place at the end of the output backlog (its capacity is reused
+  // across drains, so steady-state sends do not allocate); the writer rolls
+  // the whole frame back if it would overflow the cap.
   AppendTuple(writer_.BeginFrame(), time_ms, value, name);
   if (!writer_.CommitFrame()) {
-    stats_.frames_dropped += 1;
+    CountDropped(1);
     return false;
   }
-  if (state_ == ConnectState::kConnecting) {
-    preconnect_frames_ += 1;
-  }
-  stats_.tuples_pushed += 1;
-  last_tx_ns_ = loop_->clock()->NowNs();
+  CountPushed(1);
   return true;
 }
 
@@ -693,16 +707,18 @@ void ControlClient::FlushWire() {
     return;
   }
   if (state_ != ConnectState::kConnected || wire_ != WireState::kBinary) {
-    DropStagedWire();  // the connection died between staging and the flush
+    // The connection died between staging and the deferred flush; a fresh
+    // connection must not receive frames negotiated on the old one.
+    DropStagedWire();
     return;
   }
   std::string& buf = writer_.BeginFrame();
   encoder_.EmitFrame(buf);
   if (!writer_.CommitFrame(static_cast<uint32_t>(n))) {
-    stats_.frames_dropped += 1;
+    CountDropped(static_cast<int64_t>(n));
     return;
   }
-  stats_.tuples_pushed += static_cast<int64_t>(n);
+  CountPushed(static_cast<int64_t>(n));
 }
 
 void ControlClient::ScheduleWireFlush() {
@@ -720,9 +736,79 @@ void ControlClient::ScheduleWireFlush() {
 }
 
 void ControlClient::DropStagedWire() {
-  if (encoder_.ClearStaged() > 0) {
-    stats_.frames_dropped += 1;  // the open frame's worth of pushed tuples
+  size_t n = encoder_.ClearStaged();
+  if (n > 0) {
+    CountDropped(static_cast<int64_t>(n));  // the open frame's worth
   }
+}
+
+void ControlClient::CountPushed(int64_t tuples) {
+  upload_.pushed += tuples;
+  if (state_ == ConnectState::kConnecting) {
+    preconnect_frames_ += 1;
+    upload_.preconnect += tuples;
+  } else {
+    upload_.sent += tuples;
+  }
+  NoteTx();
+}
+
+void ControlClient::CountDropped(int64_t tuples) {
+  stats_.frames_dropped += 1;
+  upload_.dropped += tuples;
+}
+
+std::pair<int64_t, int64_t> ControlClient::DiscardPreconnect() {
+  const int64_t frames_before = writer_.stats().frames_abandoned;
+  const int64_t tuples = static_cast<int64_t>(writer_.Reset());
+  const int64_t frames = writer_.stats().frames_abandoned - frames_before;
+  preconnect_discards_ += frames;
+  upload_.preconnect_discards += tuples;
+  return {frames, tuples};
+}
+
+void ControlClient::NoteTx() {
+  if (options_.ping_interval_ms > 0) {
+    last_tx_ns_ = loop_->clock()->NowNs();
+  }
+}
+
+const ControlClient::Stats& ControlClient::stats() const {
+  const FramedWriter::Stats& w = writer_.stats();
+  stats_.tuples_pushed = upload_.pushed;
+  stats_.frames_evicted = w.frames_evicted;
+  // Pre-connect discards are already in frames_dropped (see Close /
+  // OnConnectReady); they never counted as sent, so they are backed out
+  // of the abandoned mapping.
+  stats_.frames_abandoned = w.frames_abandoned - preconnect_discards_;
+  stats_.bytes_sent = w.bytes_written;
+  stats_.bytes_dropped = w.bytes_dropped;
+  stats_.block_time_ns = w.block_time_ns;
+  stats_.backlog_high_water = static_cast<int64_t>(w.high_water_bytes);
+  stats_.policy_switches = w.policy_switches;
+  return stats_;
+}
+
+const ControlClient::UploadStats& ControlClient::upload_stats() const {
+  const Stats& s = stats();
+  const FramedWriter::Stats& w = writer_.stats();
+  UploadStats& u = upload_stats_;
+  u.tuples_sent = upload_.sent;
+  u.bytes_sent = s.bytes_sent;
+  u.tuples_dropped = upload_.dropped;
+  // The writer's units_* mirrors keep eviction and abandonment tuple-exact
+  // when binary frames carry many tuples each.
+  u.tuples_evicted = w.units_evicted;
+  u.tuples_abandoned = w.units_abandoned - upload_.preconnect_discards;
+  u.bytes_dropped = s.bytes_dropped;
+  u.block_time_ns = s.block_time_ns;
+  u.backlog_high_water = s.backlog_high_water;
+  u.connect_failures = s.connect_failures;
+  u.connect_attempts = s.connect_attempts;
+  u.reconnects = s.reconnects;
+  u.policy_switches = s.policy_switches;
+  u.bytes_discarded = s.bytes_received;
+  return u;
 }
 
 }  // namespace gscope

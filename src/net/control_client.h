@@ -1,4 +1,5 @@
-// Client side of the remote scope control channel (docs/protocol.md).
+// The client link: one connection state machine for every gscope client
+// (docs/protocol.md).
 //
 // A display target uses this to attach to a gscope StreamServer over the
 // wire instead of a process-local AddScope call: it subscribes to signal
@@ -9,31 +10,68 @@
 //
 // The channel is bidirectional: Send() pushes tuples upstream on the same
 // connection, so one process can both produce signals and subscribe to
-// others' (or, for a loopback check, its own).
+// others' (or, for a loopback check, its own).  StreamClient
+// (net/stream_client.h) is the producer-only view of this class: the
+// Section 4.4 client that "asynchronously send[s] BUFFER signal data in
+// tuple format" runs on this same link.
 //
-// Single-threaded and I/O driven, like StreamClient; the same non-blocking
-// connect discipline (completion via first writability + SO_ERROR) and the
-// same bounded whole-frame egress backlog apply.
+// Single-threaded and I/O driven.  Connect() is non-blocking: the TCP
+// handshake completes (or fails) later, signalled by the first writability
+// event on the socket, and SO_ERROR read there surfaces a refused connect
+// through state()/last_error() and the connect callback.  Everything
+// committed while the connect is in flight is queued in a bounded
+// whole-frame backlog (FramedWriter) and flushed on establishment; the
+// server never observes a truncated frame (docs/protocol.md, "Backlog and
+// drop semantics").
 #ifndef GSCOPE_NET_CONTROL_CLIENT_H_
 #define GSCOPE_NET_CONTROL_CLIENT_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/tuple.h"
 #include "net/frame_codec.h"
 #include "net/line_framer.h"
 #include "net/socket.h"
-#include "net/stream_client.h"  // ConnectState
 #include "runtime/event_loop.h"
 #include "runtime/framed_writer.h"
 
 namespace gscope {
 
+enum class ConnectState : uint8_t {
+  kDisconnected,  // never connected, or an established connection ended
+  kConnecting,    // non-blocking connect in flight
+  kConnected,     // handshake completed (SO_ERROR was 0)
+  kFailed,        // connect failed for good (last_error() holds the errno)
+  kBackoff,       // connection lost/refused; a reconnect timer is armed
+};
+
+// Automatic reconnect with capped exponential backoff.  Disabled by default:
+// a failed/lost connection then resolves to kFailed/kDisconnected.  When
+// enabled, every lost or refused connection arms a one-shot retry timer
+// (state kBackoff) whose delay doubles up to the cap, plus a deterministic
+// jitter drawn from `seed` - concurrent clients spread out, yet a fixed seed
+// replays the exact schedule in tests.
+struct ReconnectOptions {
+  bool enabled = false;
+  int64_t initial_backoff_ms = 10;
+  int64_t max_backoff_ms = 1000;
+  double multiplier = 2.0;
+  double jitter_frac = 0.1;  // each delay stretched by up to this fraction
+  uint32_t seed = 1;
+  // Consecutive failed attempts before giving up (state kFailed);
+  // 0 = retry forever.  Resets on every successful establishment.
+  int max_attempts = 0;
+};
+
+// The one options struct for a client link (StreamClient::Options is an
+// alias of it).
 struct ControlClientOptions {
   // Outgoing (commands + pushed tuples) backlog cap; whole frames only on
   // overflow, victim selected by `overflow_policy`.
@@ -57,7 +95,7 @@ struct ControlClientOptions {
   // handshake is in flight is honored, not overridden); verbs queued during
   // the handshake ride their own frames and are not replayed twice.
   bool auto_resubscribe = true;
-  // Automatic reconnect (see net/stream_client.h).  With auto_resubscribe
+  // Automatic reconnect (ReconnectOptions above).  With auto_resubscribe
   // this closes the self-healing loop: lost link -> backoff -> reconnect ->
   // session replayed, no caller involvement.
   ReconnectOptions reconnect;
@@ -94,7 +132,7 @@ class ControlClient {
     int64_t tuples_pushed = 0;
     int64_t frames_dropped = 0;  // outgoing backlog overflow (whole frames)
     // Frames committed but later discarded: evicted by kDropOldest, or
-    // abandoned unsent at disconnect/close (see StreamClient::Stats).
+    // abandoned unsent at disconnect/close (tuple-exact: UploadStats).
     int64_t frames_evicted = 0;
     int64_t frames_abandoned = 0;
     int64_t bytes_sent = 0;  // bytes the kernel accepted (drains are async)
@@ -119,6 +157,33 @@ class ControlClient {
     int64_t liveness_timeouts = 0;  // links declared dead by idle_timeout_ms
     int64_t time_syncs = 0;         // completed TIME round-trips
     int64_t policy_switches = 0;    // adaptive overflow-policy transitions
+  };
+
+  // The upload side counted in tuples rather than frames (StreamClient::Stats
+  // is this struct).  Pushed tuples travel one per text frame or many per
+  // binary frame, and verbs carry none, so this is the exact account of
+  // what Send() produced.
+  struct UploadStats {
+    // Tuples committed to an ESTABLISHED connection's backlog.  Tuples
+    // queued while a connect is in flight count only once it completes.
+    int64_t tuples_sent = 0;
+    int64_t bytes_sent = 0;
+    int64_t tuples_dropped = 0;  // backlog overflow, pre-connect failure
+    // Committed (counted sent) but later discarded: evicted by kDropOldest,
+    // or abandoned unsent when the connection died / was closed.  Delivered
+    // tuples = tuples_sent - tuples_evicted - tuples_abandoned (minus any
+    // bytes the kernel had in flight when a connection was torn down).
+    int64_t tuples_evicted = 0;
+    int64_t tuples_abandoned = 0;
+    int64_t bytes_dropped = 0;       // bytes of dropped+evicted+abandoned frames
+    int64_t block_time_ns = 0;       // kBlockWithDeadline waits
+    int64_t backlog_high_water = 0;  // max unsent backlog bytes observed
+    int64_t connect_failures = 0;
+    int64_t connect_attempts = 0;    // every TCP connect started (incl. retries)
+    int64_t reconnects = 0;          // successful re-establishments after the first
+    int64_t policy_switches = 0;     // adaptive overflow-policy transitions
+    int64_t bytes_discarded = 0;     // inbound bytes (a producer reads only the
+                                     // HELLO verdict and EOF)
   };
 
   using TupleFn = std::function<void(const TupleView& tuple)>;
@@ -245,21 +310,10 @@ class ControlClient {
   // observe kConnected/kBackoff edges here instead of sleeping.
   void SetStateCallback(StateFn fn) { on_state_ = std::move(fn); }
 
-  const Stats& stats() const {
-    // Writer-side counters are folded in lazily: drains happen async.
-    const FramedWriter::Stats& w = writer_.stats();
-    stats_.frames_evicted = w.frames_evicted;
-    // Pre-connect discards are already in frames_dropped (see Close /
-    // OnConnectReady); they never counted as sent, so they are backed out
-    // of the abandoned mapping.
-    stats_.frames_abandoned = w.frames_abandoned - preconnect_discards_;
-    stats_.bytes_sent = w.bytes_written;
-    stats_.bytes_dropped = w.bytes_dropped;
-    stats_.block_time_ns = w.block_time_ns;
-    stats_.backlog_high_water = static_cast<int64_t>(w.high_water_bytes);
-    stats_.policy_switches = w.policy_switches;
-    return stats_;
-  }
+  // Both views derive from one upload ledger plus the writer's counters,
+  // folded in lazily (drains happen async).
+  const Stats& stats() const;
+  const UploadStats& upload_stats() const;
 
  private:
   // Wire negotiation state (ControlClientOptions::wire_format == kBinary).
@@ -278,7 +332,19 @@ class ControlClient {
   // Seals staged pushed samples into one wire frame in the output backlog.
   void FlushWire();
   void ScheduleWireFlush();
+  // Staged-but-unsealed samples are lost with the connection; they never
+  // counted as sent, so they fold into the drop counters.
   void DropStagedWire();
+  // Ledger entries: `tuples` pushed tuples committed in one frame, or one
+  // frame carrying `tuples` pushed tuples refused / lost before commit.
+  void CountPushed(int64_t tuples);
+  void CountDropped(int64_t tuples);
+  // Discards the backlog queued behind an unresolved handshake.  Those
+  // frames never counted as sent: their Reset()-side abandonment is backed
+  // out of both views.  Returns the {frames, tuples} discarded.
+  std::pair<int64_t, int64_t> DiscardPreconnect();
+  // Stamps the last upload commit; read only to pace PINGs.
+  void NoteTx();
   // Installs one rx dictionary binding / delivers one decoded sample batch.
   void BindRxName(uint32_t id, std::string_view name);
   void DeliverRecords(int64_t base_time_ms, const char* records, size_t n);
@@ -317,9 +383,20 @@ class ControlClient {
   // Frames committed while kConnecting; folded into frames_dropped if the
   // handshake fails (they never left the process).
   int64_t preconnect_frames_ = 0;
-  // Writer-side abandonments that were pre-connect discards (already in
-  // frames_dropped); subtracted in stats().
+  // Writer-side frame abandonments that were pre-connect discards (already
+  // in frames_dropped); subtracted in stats().
   int64_t preconnect_discards_ = 0;
+  // The upload ledger, in tuples.  Verbs commit with weight 0, so the
+  // writer's units_* counters are tuple-exact beside it.
+  struct UploadLedger {
+    int64_t pushed = 0;      // committed to the backlog, pre-connect included
+    int64_t sent = 0;        // committed to an ESTABLISHED connection
+    int64_t preconnect = 0;  // committed behind the in-flight handshake
+    int64_t dropped = 0;     // refused, lost staged, or lost pre-connect
+    // Writer-side unit abandonments already counted in `dropped`.
+    int64_t preconnect_discards = 0;
+  };
+  UploadLedger upload_;
   // Remembered session state (survives Close/Disconnect by design).
   // Establishment replays the CURRENT remembered state so verbs issued
   // while the handshake is in flight are never overridden by a stale
@@ -341,6 +418,7 @@ class ControlClient {
   ConnectFn on_connect_;
   StateFn on_state_;
   mutable Stats stats_;
+  mutable UploadStats upload_stats_;
   // Binary wire state.
   WireState wire_ = WireState::kTextOnly;
   wire::WireEncoder encoder_;

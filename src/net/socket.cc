@@ -189,6 +189,10 @@ Socket Socket::Accept() {
     close(fd);
     return Socket{};
   }
+  // Replies and echoes are small writes: without this they wait on the
+  // peer's delayed ACK (Nagle), exactly as Connect() avoids on its side.
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return Socket{fd};
 }
 

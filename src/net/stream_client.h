@@ -1,134 +1,62 @@
 // Gscope stream client (Section 4.4).
 //
 // "Clients use the gscope client API to connect to a server ... Clients
-// asynchronously send BUFFER signal data in tuple format."  The client is
-// single-threaded and I/O driven: SendTuple appends one framed tuple line to
-// a bounded output backlog (FramedWriter) that drains through a writability
-// watch, so the application never blocks.  When the backlog cap would be
-// exceeded the newest tuple is rolled back whole - the server can never
-// observe a truncated line (see docs/protocol.md, "Backlog and drop
+// asynchronously send BUFFER signal data in tuple format."  StreamClient is
+// the producer-only view of the one client link, ControlClient
+// (net/control_client.h): it owns one ControlClient and forwards to it, so
+// connect, reconnect backoff, HELLO negotiation, binary staging and teardown
+// exist once.  SendTuple appends one framed tuple to the link's bounded
+// output backlog, which drains through a writability watch, so the
+// application never blocks; when the backlog cap would be exceeded the
+// newest tuple is rolled back whole (docs/protocol.md, "Backlog and drop
 // semantics").
 //
-// Connect() is non-blocking: the TCP handshake completes (or fails) later,
-// signalled by the first writability event on the socket.  The client reads
-// SO_ERROR there, so a refused or failed connect is surfaced through
-// state()/last_error() and the optional connect callback instead of being
-// silently swallowed.  Tuples sent while the connect is in flight are
-// queued; they count as sent only once the connection is established (and as
-// dropped if it fails).
+// Connect() is non-blocking; a refused or failed connect is surfaced through
+// state()/last_error() and the optional connect callback.  Tuples sent while
+// the connect is in flight are queued; they count as sent only once the
+// connection is established (and as dropped if it fails).
 #ifndef GSCOPE_NET_STREAM_CLIENT_H_
 #define GSCOPE_NET_STREAM_CLIENT_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <random>
 #include <string_view>
+#include <utility>
 
 #include "core/tuple.h"
-#include "net/frame_codec.h"
-#include "net/line_framer.h"
-#include "net/socket.h"
+#include "net/control_client.h"
 #include "runtime/event_loop.h"
 #include "runtime/framed_writer.h"
 
 namespace gscope {
 
-enum class ConnectState : uint8_t {
-  kDisconnected,  // never connected, or an established connection ended
-  kConnecting,    // non-blocking connect in flight
-  kConnected,     // handshake completed (SO_ERROR was 0)
-  kFailed,        // connect failed for good (last_error() holds the errno)
-  kBackoff,       // connection lost/refused; a reconnect timer is armed
-};
-
-// Automatic reconnect with capped exponential backoff.  Disabled by default:
-// a failed/lost connection then resolves to kFailed/kDisconnected exactly as
-// before.  When enabled, every lost or refused connection arms a one-shot
-// retry timer (state kBackoff) whose delay doubles up to the cap, plus a
-// deterministic jitter drawn from `seed` - concurrent clients spread out,
-// yet a fixed seed replays the exact schedule in tests.
-struct ReconnectOptions {
-  bool enabled = false;
-  int64_t initial_backoff_ms = 10;
-  int64_t max_backoff_ms = 1000;
-  double multiplier = 2.0;
-  double jitter_frac = 0.1;  // each delay stretched by up to this fraction
-  uint32_t seed = 1;
-  // Consecutive failed attempts before giving up (state kFailed);
-  // 0 = retry forever.  Resets on every successful establishment.
-  int max_attempts = 0;
-};
-
 class StreamClient {
  public:
-  struct Options {
-    // Bounds the unsent byte backlog.
-    size_t max_buffer = 1 << 20;
-    // What happens when a tuple would push the backlog past the cap: drop
-    // the newest (default - visualization data is disposable, blocking the
-    // app is not acceptable), evict the oldest whole frames to keep the
-    // newest, or wait for drainage up to block_deadline_ms per send.
-    OverflowPolicy overflow_policy = OverflowPolicy::kDropNewest;
-    int64_t block_deadline_ms = 5;  // kBlockWithDeadline budget per commit
-    // SO_SNDBUF for the connection, 0 = kernel default.  A small value
-    // moves backpressure from kernel buffering into this client's backlog,
-    // where the overflow policy (and its counters) can see it.
-    int sndbuf_bytes = 0;
-    // Self-healing knobs: automatic reconnect, and adaptive overflow
-    // handling for the output backlog (see FramedWriter::AdaptiveOptions).
-    ReconnectOptions reconnect;
-    FramedWriter::AdaptiveOptions adaptive;
-    // Upload format.  kBinary sends HELLO BIN 1 after every establishment
-    // and switches to length-prefixed binary frames once the server
-    // acknowledges; until then (and whenever the server declines) tuples
-    // travel as text, so the option is safe against any server.
-    WireFormat wire_format = WireFormat::kText;
-    // Binary only: samples staged per frame before it is sealed into the
-    // output backlog.  Larger frames amortize the header/dict bytes;
-    // anything staged is flushed at the end of the loop iteration anyway,
-    // so latency stays bounded.
-    size_t frame_samples = 128;
-  };
-
-  struct Stats {
-    // Tuples committed to an ESTABLISHED connection's backlog.  Tuples
-    // queued while a connect is in flight count only once it completes.
-    int64_t tuples_sent = 0;
-    int64_t bytes_sent = 0;
-    int64_t tuples_dropped = 0;  // backlog overflow, pre-connect failure
-    // Committed (counted sent) but later discarded: evicted by kDropOldest,
-    // or abandoned unsent when the connection died / was closed.  Delivered
-    // tuples = tuples_sent - tuples_evicted - tuples_abandoned (minus any
-    // bytes the kernel had in flight when a connection was torn down).
-    int64_t tuples_evicted = 0;
-    int64_t tuples_abandoned = 0;
-    int64_t bytes_dropped = 0;       // bytes of dropped+evicted+abandoned tuples
-    int64_t block_time_ns = 0;       // kBlockWithDeadline waits
-    int64_t backlog_high_water = 0;  // max unsent backlog bytes observed
-    int64_t connect_failures = 0;
-    int64_t connect_attempts = 0;    // every TCP connect started (incl. retries)
-    int64_t reconnects = 0;          // successful re-establishments after the first
-    int64_t policy_switches = 0;     // adaptive overflow-policy transitions
-    int64_t bytes_discarded = 0;     // inbound bytes read and ignored (the
-                                     // read watch only exists to detect EOF)
-  };
-
+  // The link's options.  A producer uses the upload fields: max_buffer,
+  // overflow_policy, block_deadline_ms, sndbuf_bytes, reconnect, adaptive,
+  // wire_format and frame_samples.  kBinary sends HELLO BIN 1 after every
+  // establishment and switches to length-prefixed binary frames once the
+  // server acknowledges; until then (and whenever the server declines)
+  // tuples travel as text, so the option is safe against any server.
+  using Options = ControlClientOptions;
+  // The link's upload ledger in tuples:
+  // delivered = tuples_sent - tuples_evicted - tuples_abandoned.
+  using Stats = ControlClient::UploadStats;
   // Invoked each time a connect attempt resolves (with reconnect enabled
   // that can be many times per Connect() call): ok = true with error 0, or
   // ok = false with the SO_ERROR errno value.
-  using ConnectFn = std::function<void(bool ok, int error)>;
+  using ConnectFn = ControlClient::ConnectFn;
   // Invoked on every state transition, including those inside reconnect
   // cycles.  Tests observe kConnected/kBackoff edges here instead of
   // sleeping.
-  using StateFn = std::function<void(ConnectState state)>;
+  using StateFn = ControlClient::StateFn;
 
   // `loop` is not owned.
-  StreamClient(MainLoop* loop, Options options);
+  StreamClient(MainLoop* loop, Options options) : link_(loop, options) {}
   // Backwards-compatible shape: default options with `max_buffer`.
   explicit StreamClient(MainLoop* loop, size_t max_buffer = 1 << 20)
-      : StreamClient(loop, Options{.max_buffer = max_buffer}) {}
-  ~StreamClient();
+      : link_(loop, ControlClientOptions{}) {
+    link_.SetQueueLimit(max_buffer);
+  }
 
   StreamClient(const StreamClient&) = delete;
   StreamClient& operator=(const StreamClient&) = delete;
@@ -136,122 +64,46 @@ class StreamClient {
   // Starts a non-blocking connect to 127.0.0.1:`port`.  True means the
   // attempt is in flight (not that the connection is established); the
   // outcome arrives through the connect callback / state().
-  bool Connect(uint16_t port);
-  void Close();
+  bool Connect(uint16_t port) { return link_.Connect(port); }
+  void Close() { link_.Close(); }
 
-  void SetConnectCallback(ConnectFn fn) { on_connect_ = std::move(fn); }
-  void SetStateCallback(StateFn fn) { on_state_ = std::move(fn); }
+  void SetConnectCallback(ConnectFn fn) { link_.SetConnectCallback(std::move(fn)); }
+  void SetStateCallback(StateFn fn) { link_.SetStateCallback(std::move(fn)); }
 
-  ConnectState state() const { return state_; }
+  ConnectState state() const { return link_.state(); }
   // The delay the most recent backoff armed (ms); for tests and diagnostics.
-  int64_t last_backoff_ms() const { return last_backoff_ms_; }
+  int64_t last_backoff_ms() const { return link_.last_backoff_ms(); }
   // True only once the handshake has actually completed - never while the
   // connect is still in flight or after it failed.
-  bool connected() const { return state_ == ConnectState::kConnected; }
+  bool connected() const { return link_.connected(); }
   // errno of the last failed connect (0 if none failed yet).
-  int last_error() const { return last_error_; }
+  int last_error() const { return link_.last_error(); }
 
   // Queues one tuple for asynchronous delivery.  Returns false if the
   // client is disconnected/failed or the backlog is full.
-  bool SendTuple(const Tuple& tuple);
+  bool SendTuple(const Tuple& tuple) { return link_.Send(tuple.time_ms, tuple.value, tuple.name); }
 
   // Same without a materialized Tuple: formats directly into the output
   // buffer, so steady-state sends perform no per-tuple allocation.
-  bool Send(int64_t time_ms, double value, std::string_view name);
+  bool Send(int64_t time_ms, double value, std::string_view name) {
+    return link_.Send(time_ms, value, name);
+  }
 
   // Switches the overflow policy mid-stream (between sends).
   void SetQueuePolicy(OverflowPolicy policy, int64_t block_deadline_ms = 5) {
-    writer_.SetPolicy(policy, MillisToNanos(block_deadline_ms));
+    link_.SetQueuePolicy(policy, block_deadline_ms);
   }
-  OverflowPolicy queue_policy() const { return writer_.policy(); }
+  OverflowPolicy queue_policy() const { return link_.queue_policy(); }
 
   // Unsent bytes currently queued (binary: staged-but-unsealed samples
   // included, so "drain until empty" loops cover the open frame too).
-  size_t pending_bytes() const { return writer_.pending_bytes() + encoder_.staged_bytes(); }
+  size_t pending_bytes() const { return link_.pending_bytes(); }
   // True once HELLO BIN was acknowledged on the current connection.
-  bool wire_binary() const { return wire_ == WireState::kBinary; }
-  const Stats& stats() const {
-    // Writer-side counters are folded in lazily: drains happen async.  The
-    // units_* mirrors keep the mapping tuple-exact when binary frames carry
-    // many tuples each (they equal the frame counters for text).
-    const FramedWriter::Stats& w = writer_.stats();
-    stats_.bytes_sent = w.bytes_written;
-    stats_.tuples_evicted = w.units_evicted;
-    // Pre-connect frames discarded by a failed/aborted handshake are
-    // already in tuples_dropped; they never counted as sent, so they are
-    // backed out of the abandoned mapping.  (Binary frames commit only on
-    // an ESTABLISHED connection, so pre-connect discards are all weight-1
-    // text frames and the subtraction stays unit-exact.)
-    stats_.tuples_abandoned = w.units_abandoned - preconnect_discards_;
-    stats_.bytes_dropped = w.bytes_dropped;
-    stats_.block_time_ns = w.block_time_ns;
-    stats_.backlog_high_water = static_cast<int64_t>(w.high_water_bytes);
-    stats_.policy_switches = w.policy_switches;
-    return stats_;
-  }
+  bool wire_binary() const { return link_.wire_binary(); }
+  const Stats& stats() const { return link_.upload_stats(); }
 
  private:
-  // Upload-side wire negotiation state (Options::wire_format == kBinary).
-  enum class WireState : uint8_t {
-    kTextOnly,   // text for the connection's lifetime (default, or declined)
-    kHelloSent,  // HELLO BIN 1 committed; replies parsed for the verdict
-    kBinary,     // acknowledged: sends stage into binary frames
-  };
-
-  bool StartConnect();
-  bool OnConnectReady(IoCondition cond);
-  void ResolveConnect(int error);
-  bool OnSocketReadable();
-  bool SendBinary(int64_t time_ms, double value, std::string_view name);
-  // Seals the staged samples into one wire frame in the output backlog.
-  bool FlushWire();
-  void ScheduleWireFlush();
-  // Connection death/teardown: staged-but-unsealed samples are lost; they
-  // never counted as sent, so they fold into tuples_dropped.
-  void DropStagedWire();
-  // A previously-established connection died (read EOF/error or a hard
-  // write error).  Enters backoff or settles in kDisconnected.
-  void HandleConnectionDeath();
-  // A connect attempt failed.  Arms the backoff timer when retries remain,
-  // else settles in kFailed.  Returns true if a retry was armed.
-  bool FailAttempt(int error);
-  void EnterBackoff();
-  void SetState(ConnectState state);
-
-  MainLoop* loop_;
-  Options options_;
-  Socket socket_;
-  FramedWriter writer_;
-  SourceId connect_watch_ = 0;
-  SourceId read_watch_ = 0;
-  SourceId retry_timer_ = 0;
-  ConnectState state_ = ConnectState::kDisconnected;
-  int last_error_ = 0;
-  uint16_t port_ = 0;
-  int64_t cur_backoff_ms_ = 0;
-  int64_t last_backoff_ms_ = 0;
-  int failed_attempts_ = 0;    // consecutive, since the last establishment
-  int64_t establishments_ = 0;
-  std::mt19937 jitter_rng_;
-  // Tuples committed while state_ == kConnecting; folded into tuples_sent
-  // or tuples_dropped when the handshake resolves.
-  int64_t preconnect_tuples_ = 0;
-  // Frames the writer counted abandoned that were pre-connect discards
-  // (already accounted as tuples_dropped); subtracted in stats().
-  int64_t preconnect_discards_ = 0;
-  ConnectFn on_connect_;
-  StateFn on_state_;
-  mutable Stats stats_;
-  // Binary wire state.
-  WireState wire_ = WireState::kTextOnly;
-  wire::WireEncoder encoder_;
-  LineFramer hello_rx_{256};     // parses replies while kHelloSent
-  int64_t hello_rx_overlong_ = 0;
-  bool wire_flush_pending_ = false;
-  // Liveness token for the deferred flush closure (declared LAST: reset
-  // first in destruction order, so a queued flush never touches a dead
-  // client).
-  std::shared_ptr<StreamClient> self_alias_{this, [](StreamClient*) {}};
+  ControlClient link_;
 };
 
 }  // namespace gscope

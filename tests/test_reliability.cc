@@ -20,6 +20,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/scope.h"
@@ -234,16 +235,30 @@ TEST_F(ReliabilityTest, MidStreamKillTriggersReconnectAndResync) {
 // Reconnect state machine
 // ---------------------------------------------------------------------------
 
-TEST_F(ReliabilityTest, BackoffGrowsToCapWithBoundedJitter) {
-  const uint16_t dead_port = DeadPort();
-  StreamClient::Options copt;
+// The retry logic exists once (ControlClient); StreamClient is a producer
+// view over it.  Each case runs against both public classes.
+template <typename Client>
+class ClientRetryTest : public ReliabilityTest {};
+
+struct RetryClientNames {
+  template <typename Client>
+  static std::string GetName(int) {
+    return std::is_same_v<Client, StreamClient> ? "StreamClient" : "ControlClient";
+  }
+};
+using RetryClients = ::testing::Types<StreamClient, ControlClient>;
+TYPED_TEST_SUITE(ClientRetryTest, RetryClients, RetryClientNames);
+
+TYPED_TEST(ClientRetryTest, BackoffGrowsToCapWithBoundedJitter) {
+  const uint16_t dead_port = this->DeadPort();
+  ControlClientOptions copt;
   copt.reconnect.enabled = true;
   copt.reconnect.initial_backoff_ms = 5;
   copt.reconnect.max_backoff_ms = 40;
   copt.reconnect.multiplier = 2.0;
   copt.reconnect.jitter_frac = 0.25;
   copt.reconnect.seed = 3;
-  StreamClient client(&loop_, copt);
+  TypeParam client(&this->loop_, copt);
 
   std::vector<ConnectState> states;
   std::vector<int64_t> backoffs;
@@ -254,7 +269,7 @@ TEST_F(ReliabilityTest, BackoffGrowsToCapWithBoundedJitter) {
     }
   });
   ASSERT_TRUE(client.Connect(dead_port));
-  ASSERT_TRUE(RunUntil([&]() { return client.stats().connect_attempts >= 5; }, 4000));
+  ASSERT_TRUE(this->RunUntil([&]() { return client.stats().connect_attempts >= 5; }, 4000));
 
   bool saw_connecting = false;
   bool saw_backoff = false;
@@ -281,38 +296,72 @@ TEST_F(ReliabilityTest, BackoffGrowsToCapWithBoundedJitter) {
   EXPECT_EQ(client.state(), ConnectState::kDisconnected);
 }
 
-TEST_F(ReliabilityTest, MaxAttemptsSettlesInFailed) {
-  const uint16_t dead_port = DeadPort();
-  StreamClient::Options copt;
+TYPED_TEST(ClientRetryTest, MaxAttemptsSettlesInFailed) {
+  const uint16_t dead_port = this->DeadPort();
+  ControlClientOptions copt;
   copt.reconnect.enabled = true;
   copt.reconnect.initial_backoff_ms = 2;
   copt.reconnect.max_backoff_ms = 8;
   copt.reconnect.max_attempts = 3;
-  StreamClient client(&loop_, copt);
+  TypeParam client(&this->loop_, copt);
   ASSERT_TRUE(client.Connect(dead_port));
-  ASSERT_TRUE(RunUntil([&]() { return client.state() == ConnectState::kFailed; }));
+  ASSERT_TRUE(this->RunUntil([&]() { return client.state() == ConnectState::kFailed; }));
   EXPECT_EQ(client.stats().connect_attempts, 3);
   EXPECT_NE(client.last_error(), 0);
 }
 
-TEST_F(ReliabilityTest, ReconnectEstablishesOnceServerAppears) {
-  const uint16_t port = DeadPort();
-  StreamClient::Options copt;
+TYPED_TEST(ClientRetryTest, ReconnectEstablishesOnceServerAppears) {
+  const uint16_t port = this->DeadPort();
+  ControlClientOptions copt;
   copt.reconnect.enabled = true;
   copt.reconnect.initial_backoff_ms = 2;
   copt.reconnect.max_backoff_ms = 20;
-  StreamClient client(&loop_, copt);
+  TypeParam client(&this->loop_, copt);
   ASSERT_TRUE(client.Connect(port));
-  ASSERT_TRUE(RunUntil([&]() { return client.stats().connect_failures >= 2; }));
+  ASSERT_TRUE(this->RunUntil([&]() { return client.stats().connect_failures >= 2; }));
 
-  StreamServer server(&loop_, &scope_);
-  ASSERT_TRUE(RunUntil([&]() { return server.Listen(port); }));
-  ASSERT_TRUE(RunUntil([&]() { return client.connected(); }));
+  StreamServer server(&this->loop_, &this->scope_);
+  ASSERT_TRUE(this->RunUntil([&]() { return server.Listen(port); }));
+  ASSERT_TRUE(this->RunUntil([&]() { return client.connected(); }));
   EXPECT_GT(client.stats().connect_attempts, client.stats().connect_failures);
 
   // The established link carries data.
-  client.Send(scope_.NowMs(), 1.0, "late_start");
-  ASSERT_TRUE(RunUntil([&]() { return server.stats().tuples >= 1; }));
+  client.Send(this->scope_.NowMs(), 1.0, "late_start");
+  ASSERT_TRUE(this->RunUntil([&]() { return server.stats().tuples >= 1; }));
+}
+
+TEST_F(ReliabilityTest, SameSeedArmsTheSameBackoffInBothClients) {
+  const uint16_t dead_port = DeadPort();
+  ControlClientOptions copt;
+  copt.reconnect.enabled = true;
+  copt.reconnect.initial_backoff_ms = 3;
+  copt.reconnect.max_backoff_ms = 40;
+  copt.reconnect.jitter_frac = 0.5;
+  copt.reconnect.seed = 11;
+  copt.reconnect.max_attempts = 6;
+  StreamClient producer(&loop_, copt);
+  ControlClient viewer(&loop_, copt);
+  std::vector<int64_t> producer_delays;
+  std::vector<int64_t> viewer_delays;
+  producer.SetStateCallback([&](ConnectState s) {
+    if (s == ConnectState::kBackoff) {
+      producer_delays.push_back(producer.last_backoff_ms());
+    }
+  });
+  viewer.SetStateCallback([&](ConnectState s) {
+    if (s == ConnectState::kBackoff) {
+      viewer_delays.push_back(viewer.last_backoff_ms());
+    }
+  });
+  ASSERT_TRUE(producer.Connect(dead_port));
+  ASSERT_TRUE(viewer.Connect(dead_port));
+  ASSERT_TRUE(RunUntil([&]() {
+    return producer.state() == ConnectState::kFailed &&
+           viewer.state() == ConnectState::kFailed;
+  }));
+  // max_attempts 6: five armed delays, then kFailed.
+  EXPECT_EQ(producer_delays.size(), 5u);
+  EXPECT_EQ(producer_delays, viewer_delays);
 }
 
 TEST_F(ReliabilityTest, ControlClientResumesSessionAcrossServerRestart) {

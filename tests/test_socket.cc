@@ -1,6 +1,9 @@
 #include "net/socket.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -68,6 +71,22 @@ TEST(SocketTest, ConnectAcceptRoundTrip) {
   }
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(std::string(buf, r.bytes), msg);
+}
+
+bool NoDelaySet(const Socket& socket) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  return getsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len) == 0 &&
+         value != 0;
+}
+
+TEST(SocketTest, BothEndsDisableNagle) {
+  // The server's replies and echoes are small writes; with Nagle on the
+  // accepted side they would wait on the viewer's delayed ACK.
+  Pair pair = MakeConnectedPair();
+  ASSERT_TRUE(pair.ok);
+  EXPECT_TRUE(NoDelaySet(pair.client_side));
+  EXPECT_TRUE(NoDelaySet(pair.server_side));
 }
 
 TEST(SocketTest, ReadOnEmptySocketWouldBlock) {

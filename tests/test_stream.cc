@@ -83,15 +83,20 @@ TEST_F(StreamTest, MultipleClientsOneScope) {
   scope_.StartPolling();
   ASSERT_TRUE(RunUntil([&]() { return server.client_count() == 2; }));
 
-  a.SendTuple({scope_.NowMs(), 1.0, "client_a"});
-  b.SendTuple({scope_.NowMs(), 2.0, "client_b"});
-  ASSERT_TRUE(RunUntil([&]() { return server.stats().tuples >= 2; }));
+  // Resent with a fresh stamp each wait turn, as in TuplesFlowIntoScopeSignal:
+  // a one-shot send is late-dropped (delay 0) when a millisecond boundary
+  // passes before the flush, and an auto-created signal reads 0 until its
+  // first sample lands, so the wait is on the values themselves.
   ASSERT_TRUE(RunUntil([&]() {
+    a.SendTuple({scope_.NowMs(), 1.0, "client_a"});
+    b.SendTuple({scope_.NowMs(), 2.0, "client_b"});
+    loop_.RunForMs(2);
     SignalId ia = scope_.FindSignal("client_a");
     SignalId ib = scope_.FindSignal("client_b");
-    return ia != 0 && ib != 0 && scope_.LatestValue(ia).has_value() &&
-           scope_.LatestValue(ib).has_value();
+    return ia != 0 && ib != 0 && scope_.LatestValue(ia) == 1.0 &&
+           scope_.LatestValue(ib) == 2.0;
   }));
+  EXPECT_GE(server.stats().tuples, 2);
   EXPECT_DOUBLE_EQ(*scope_.LatestValue(scope_.FindSignal("client_a")), 1.0);
   EXPECT_DOUBLE_EQ(*scope_.LatestValue(scope_.FindSignal("client_b")), 2.0);
 }
